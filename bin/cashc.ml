@@ -72,10 +72,10 @@ let engine_conv =
       ("reference", Machine.Cpu.Reference) ]
 
 let engine =
-  Arg.(value & opt engine_conv Machine.Cpu.Block &
+  Arg.(value & opt engine_conv Machine.Cpu.default_engine &
        info [ "engine" ]
-         ~doc:"CPU interpreter: block (superblock dispatch, the default \
-               here), predecode, or reference. Simulated cycles and output \
+         ~doc:"CPU interpreter: block (superblock dispatch, the \
+               default), predecode, or reference. Simulated cycles and output \
                are engine-independent.")
 
 let no_chain =

@@ -63,6 +63,10 @@ val compile : backend -> string -> compiled
     overflow). Safe from any domain. *)
 val compile_cached : backend -> string -> compiled
 
+(** The most programs {!compile_cached} retains (8 unless the
+    [CASH_COMPILE_CACHE_CAP] environment variable says otherwise). *)
+val compile_cache_capacity : int
+
 (** [(hits, misses)] of {!compile_cached} since process start. *)
 val compile_cache_stats : unit -> int * int
 
@@ -142,8 +146,9 @@ val state_of_run : compiled -> run -> state
 
 (** Load into a fresh simulated process and run to completion. Supply
     [kernel] to share a global clock across processes (the network
-    experiments do); [engine] to pick the CPU interpreter (the
-    pre-decoded fast path by default, [Machine.Cpu.Reference] for the
+    experiments do); [engine] to pick the CPU interpreter (the ambient
+    {!default_engine} — the superblock engine {!Machine.Cpu.Block}
+    unless changed — by default, [Machine.Cpu.Reference] for the
     equivalence oracle); [chain] to override the block-chaining
     default (see {!set_chaining}); [trace] to attach a {!Trace.sink} — the run
     emits hardware/OS events into it and folds its per-function cycle
@@ -183,8 +188,8 @@ val current_trace : unit -> Trace.sink option
     [?engine] — how [--engine=block|predecode|reference] on the bench
     and experiment CLIs reaches the [run] calls buried inside the table
     modules. Process-wide (atomic, visible to every harness worker
-    domain); set it once, before fanning out. Default
-    {!Machine.Cpu.Predecoded}. *)
+    domain); set it once, before fanning out. Starts at
+    {!Machine.Cpu.default_engine}. *)
 val set_default_engine : Machine.Cpu.engine -> unit
 
 val default_engine : unit -> Machine.Cpu.engine

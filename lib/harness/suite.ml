@@ -32,11 +32,11 @@ type experiment = {
 
 let simple name run = { name; run; split_requests = None }
 
-let all ?(table8_requests = default_table8_requests) () : experiment list =
+let make ~table8_requests ~table3_sizes : experiment list =
   [
     simple "table1" Table1.run;
     simple "table2" Table2.run;
-    simple "table3" Table3.run;
+    simple "table3" (fun () -> Table3.run ~sizes:table3_sizes ());
     simple "table4" Table4.run;
     simple "table5" Table5.run;
     simple "table6" Table6.run;
@@ -53,6 +53,16 @@ let all ?(table8_requests = default_table8_requests) () : experiment list =
     simple "ablation-bound" Ablation.bound_instruction;
     simple "ablation-efence" Ablation.efence;
   ]
+
+let all ?(table8_requests = default_table8_requests) () =
+  make ~table8_requests ~table3_sizes:Table3.sizes
+
+(* Every experiment of [all], each still run end to end, at the
+   smallest inputs: Table 3's size sweep cut to its two smallest sizes
+   (the larger two cost ~90% of the table) and Table 8 at 5 requests.
+   Tier-1's serial-vs-parallel and engine-equivalence oracles compare
+   reproductions at this size; the full-size comparison is a CI step. *)
+let quick () = make ~table8_requests:5 ~table3_sizes:[ 16; 32 ]
 
 (* Wall-clock spent inside one parallel job, measured by the job itself.
    [run_all_timed] returns one entry per job in merge order — the

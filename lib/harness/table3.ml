@@ -14,7 +14,7 @@ let programs =
     ("Matrix", fun n -> Workloads.Micro.matmul ~n ());
   ]
 
-let run () =
+let run ?(sizes = sizes) () =
   let rows =
     List.map
       (fun (name, make) ->

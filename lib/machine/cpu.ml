@@ -18,15 +18,16 @@
 
    Three execution engines share this module:
 
-   - [Predecoded] (the default) runs over the link-time lowered form:
+   - [Predecoded] runs over the link-time lowered form:
      branch targets come from [Program.targets], per-site cycle costs from
      a table built at CPU creation, stat counters from pre-interned refs,
      and [exec] returns the next EIP instead of raising an exception on
      control transfers. Nothing on this path hashes a string, matches an
      option, or allocates.
-   - [Block] executes the linker's superblock partition: each maximal
-     single-entry straight-line region is compiled (once, at first run)
-     into an array of operand-resolved closures, dispatched as a unit
+   - [Block] ([default_engine]) executes the linker's superblock
+     partition: each maximal single-entry straight-line region is
+     compiled (once per program, on its first dispatch) into an array
+     of operand-resolved closures, dispatched as a unit
      with one EIP/instruction/cycle commit per block instead of per
      instruction. Memory operands still go through the real
      segment-limit + TLB [translate] below, augmented by a per-segment
@@ -49,6 +50,10 @@ type status =
   | Faulted of Seghw.Fault.t
 
 type engine = Predecoded | Block | Reference
+
+(* The one default engine: every CLI, the harness, the benchmark and
+   the request server run this unless told otherwise. *)
+let default_engine = Block
 
 type t = {
   regs : Registers.t;
@@ -90,10 +95,10 @@ type t = {
   block_cost : int array;      (* per block: summed cost_tab over its range *)
   mutable ublocks : (t -> int) array array;
       (* per block: one operand-resolved closure per instruction,
-         compiled lazily by the first [Block] run. The last closure
-         returns the block's next EIP (terminators have their dispatch
-         pre-resolved; a fall-through last instruction bakes in
-         [idx + 1]); body closures return a dummy 0. *)
+         compiled on the block's first dispatch ([||] until then). The
+         last closure returns the block's next EIP (terminators have
+         their dispatch pre-resolved; a fall-through last instruction
+         bakes in [idx + 1]); body closures return a dummy 0. *)
   mutable ublocks_ready : bool;
   (* Per-segment memory fast path: for segreg slot [k] (CS..GS), if
      [fm_gen.(k)] still equals the TLB's generation counter and
@@ -214,7 +219,7 @@ let chains_built () = Atomic.get chains_built_total
 let chain_blocks_linked () = Atomic.get chain_blocks_total
 let chain_insns_linked () = Atomic.get chain_insns_total
 
-let create ?(engine = Predecoded) ?chain ~mmu ~phys ~costs ~program () =
+let create ?(engine = default_engine) ?chain ~mmu ~phys ~costs ~program () =
   let code = program.Program.code in
   let stat_counters = Hashtbl.create 31 in
   (* Pre-intern one counter ref per stat label; every other site shares a
@@ -1906,13 +1911,23 @@ let compile_term code targets idx : t -> int =
    is a pure function of its [Program.t] — keyed here by [Program.uid]
    identity. Every machine executing the same linked program (fleet
    re-checks, warm-pool restores, the serve loop's request machines)
-   binds the one shared set instead of recompiling; [blocks_bound_total]
-   counts those rebinds, the build counters only real compiles. Chains
-   and traced closure sets stay per-CPU derived caches ([fuse_block]
-   captures the owning CPU's arrays on purpose). Compilation happens
-   under the lock — it is a few microseconds of closure allocation, and
-   holding the lock gives the strict at-most-once-per-program
-   guarantee the serve-scale tests pin.
+   binds the one shared slot array instead of recompiling;
+   [blocks_bound_total] counts those rebinds, the build counters only
+   real compiles. Chains and traced closure sets stay per-CPU derived
+   caches ([fuse_block] captures the owning CPU's arrays on purpose).
+
+   Compilation is lazy, per block: [build_ublocks] binds an array of
+   empty slots, and [compile_ublock] fills a block's slot the first time
+   any machine dispatches it. An empty slot is an unambiguous "not
+   compiled" sentinel — every block holds at least one instruction — so
+   a function that is never called never compiles (or retains) a
+   closure. The run loop reads a slot without the lock; that race is
+   benign: a slot changes exactly once, from [||] to a fully built
+   array that is never mutated again, and OCaml's memory model makes a
+   racy read return one of those two values, the array's contents
+   initialised. A reader that sees [||] takes the lock and re-checks,
+   so each block compiles at most once per program and the build
+   counters stay exact even when several domains run one program.
 
    The table is an ephemeron keyed on the [Program.t] record: an entry
    lives exactly as long as its program does, and is swept by the GC
@@ -1934,7 +1949,7 @@ end)
 let shared_ublocks : (t -> int) array array Ublk_tbl.t = Ublk_tbl.create 64
 let shared_ublocks_lock = Mutex.create ()
 
-(* Bind (or compile) the program's closure set on the first [Block] run. *)
+(* Bind the program's shared slot array on the first [Block] run. *)
 let build_ublocks t =
   let nb = Array.length t.block_starts in
   t.ublocks <-
@@ -1944,22 +1959,34 @@ let build_ublocks t =
           ignore (Atomic.fetch_and_add blocks_bound_total nb : int);
           ub
         | None ->
-          let code = t.code and targets = t.targets in
-          let ub =
-            Array.init nb (fun b ->
-                let start = t.block_starts.(b) in
-                let len = t.block_lens.(b) in
-                Array.init len (fun j ->
-                    if j = len - 1 then compile_term code targets (start + j)
-                    else compile_insn code (start + j) ~ret:0))
-          in
+          let ub = Array.make nb [||] in
           Ublk_tbl.add shared_ublocks t.program ub;
-          ignore (Atomic.fetch_and_add blocks_built_total nb : int);
-          ignore
-            (Atomic.fetch_and_add block_insns_total (Array.length t.code)
-              : int);
           ub);
   t.ublocks_ready <- true
+
+(* Compile block [b]'s closures into its shared slot (the run loop's
+   cold path, taken when it finds the slot empty). *)
+let compile_ublock t b =
+  Mutex.protect shared_ublocks_lock (fun () ->
+      let blk = t.ublocks.(b) in
+      if Array.length blk > 0 then blk
+      else begin
+        let code = t.code and targets = t.targets in
+        let start = t.block_starts.(b) and len = t.block_lens.(b) in
+        let blk =
+          Array.init len (fun j ->
+              if j = len - 1 then compile_term code targets (start + j)
+              else compile_insn code (start + j) ~ret:0)
+        in
+        t.ublocks.(b) <- blk;
+        Atomic.incr blocks_built_total;
+        ignore (Atomic.fetch_and_add block_insns_total len : int);
+        blk
+      end)
+
+let ublock t b =
+  let blk = t.ublocks.(b) in
+  if Array.length blk > 0 then blk else compile_ublock t b
 
 (* --- block chaining ----------------------------------------------------- *)
 
@@ -2084,7 +2111,7 @@ let fuse_block t b =
   let mmu = t.mmu in
   let kss = seg_slot Seghw.Segreg.SS in
   let ssr = mmu.Seghw.Mmu.ss in
-  let ublk = t.ublocks.(b) in
+  let ublk = ublock t b in
   (* Resolve a memory operand once, at fuse time. *)
   let addr m =
     let seg = default_seg m in
@@ -2850,6 +2877,9 @@ let run ?(fuel = 4_000_000_000) t =
                    && t.insns_executed + Array.unsafe_get lens bid <= fuel
                  then begin
                    let blk = Array.unsafe_get ublocks bid in
+                   let blk =
+                     if Array.length blk > 0 then blk else compile_ublock t bid
+                   in
                    let n1 = Array.length blk - 1 in
                    bstart := eip;
                    j := 0;

@@ -6,13 +6,13 @@
     counters: executing one bumps a named counter without consuming
     cycles — the harness's measurement channel.
 
-    Three engines implement the same semantics. {!Predecoded} (the
-    default) executes the link-time lowered program: pre-resolved branch
-    targets, a per-site cycle-cost table, pre-interned stat counters,
-    and exception-free control flow. {!Block} additionally executes the
-    linker's superblock partition — each maximal straight-line region is
-    compiled once into operand-resolved closures and dispatched as a
-    unit, with a per-segment TLB fast path — while staying
+    Three engines implement the same semantics. {!Predecoded} executes
+    the link-time lowered program: pre-resolved branch targets, a
+    per-site cycle-cost table, pre-interned stat counters, and
+    exception-free control flow. {!Block} (the default) additionally
+    executes the linker's superblock partition — each maximal
+    straight-line region is compiled, on its first dispatch, into
+    operand-resolved closures and dispatched as a unit, with a per-segment TLB fast path — while staying
     fault-precise: a mid-block fault leaves EIP, counters, registers,
     and trace events identical to per-instruction execution.
     {!Reference} is the original interpreter, kept as the oracle for the
@@ -26,9 +26,14 @@ type status =
 
 (** Which interpreter executes the program. *)
 type engine =
-  | Predecoded  (** the lowered fast path (default) *)
+  | Predecoded  (** the lowered fast path, stepped per instruction *)
   | Block       (** superblock dispatch over the lowered fast path *)
   | Reference   (** the pre-lowering interpreter — the equivalence oracle *)
+
+(** The engine every CLI, harness run, benchmark and request server
+    uses unless told otherwise: {!Block}. The one definition — {!create}
+    and [Core]'s ambient default both read it. *)
+val default_engine : engine
 
 type t
 
@@ -96,10 +101,11 @@ val total_retired : unit -> int
 (** Superblocks compiled by {!Block}-engine CPUs of this process (summed
     over all domains). Compiled closures capture no CPU state — they
     fetch the running machine's registers, MMU, and memory from their
-    argument — so each {e program}'s closure set compiles once, lazily,
-    on the first run of the first machine executing it, and lands in a
-    process-wide shared cache keyed on [Program.uid]. Reported as BENCH
-    schema 4's ["blocks_built"]. *)
+    argument — so each block of each {e program} compiles at most once,
+    on its first dispatch by any machine executing that program, into a
+    process-wide shared cache keyed on the program. Blocks that never
+    run are never compiled. Reported as BENCH schema 4's
+    ["blocks_built"]. *)
 val blocks_built : unit -> int
 
 (** Instructions covered by those compiled superblocks; divided by

@@ -19,7 +19,8 @@
    including the corner cases (a line counted when a newline is
    consumed inside a comment or string literal, '.' after digits
    always starting a float, hex literals wrapping exactly like
-   [int_of_string "0x..."]). The equivalence oracle in test_minic.ml
+   [int_of_string "0x..."], out-of-range and malformed literals
+   rejected with the same [Lex_error]). The equivalence oracle in test_minic.ml
    and the [bench --frontend] A/B gate hold the two implementations
    together. *)
 
@@ -27,6 +28,19 @@ exception Lex_error of string * int (* message, line *)
 
 let error line fmt =
   Printf.ksprintf (fun msg -> raise (Lex_error (msg, line))) fmt
+
+(* Literal conversions: an out-of-range integer or a float whose
+   exponent has no digits is a [Lex_error] on the literal's line, never
+   the conversion's [Failure]. *)
+let int_lit line s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> error line "integer literal %s out of range" s
+
+let float_lit line s =
+  match float_of_string_opt s with
+  | Some f -> f
+  | None -> error line "malformed float literal %s" s
 
 (* --- character classes --------------------------------------------------- *)
 
@@ -191,8 +205,8 @@ let intern it src off len =
 
 (* --- the scanner --------------------------------------------------------- *)
 
-(* Decimal accumulation overflows into [int_of_string] on the substring,
-   which raises the same [Failure] the reference lexer did for
+(* Decimal accumulation overflows into [int_lit] on the substring,
+   which raises the same [Lex_error] the reference lexer does for
    out-of-range literals. *)
 let dec_guard = max_int / 10 - 1
 
@@ -275,7 +289,7 @@ let scan src =
       (* [int_of_string "0x..."] accepts the full unsigned range and
          wraps; delegate rather than re-implement that boundary. *)
       Token.INT_LIT
-        (int_of_string ("0x" ^ String.sub src hstart (!pos - hstart)))
+        (int_lit !line ("0x" ^ String.sub src hstart (!pos - hstart)))
     end
     else begin
       let acc = ref 0 and overflow = ref false in
@@ -297,10 +311,10 @@ let scan src =
           if !pos < slen && (at !pos = '+' || at !pos = '-') then incr pos;
           while !pos < slen && is_class (at !pos) c_digit do incr pos done
         end;
-        Token.FLOAT_LIT (float_of_string (String.sub src start (!pos - start)))
+        Token.FLOAT_LIT (float_lit !line (String.sub src start (!pos - start)))
       end
       else if !overflow then
-        Token.INT_LIT (int_of_string (String.sub src start (!pos - start)))
+        Token.INT_LIT (int_lit !line (String.sub src start (!pos - start)))
       else Token.INT_LIT !acc
     end
   in

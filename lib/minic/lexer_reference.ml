@@ -1,5 +1,6 @@
-(* The original list-building lexer, kept verbatim as the reference
-   implementation for the table-driven scanner in [Lexer]. The token
+(* The original list-building lexer, kept as the reference
+   implementation for the table-driven scanner in [Lexer] (changed only
+   to reject bad numeric literals with [Lex_error]). The token
    equivalence oracle (test/test_minic.ml) and the frontend benchmark's
    A/B gate (bench --frontend) both lex through this module and compare
    against [Lexer.tokenize]; it is not on any production path. *)
@@ -8,6 +9,19 @@ exception Lex_error of string * int (* message, line *)
 
 let error line fmt =
   Printf.ksprintf (fun msg -> raise (Lex_error (msg, line))) fmt
+
+(* Literal conversions: an out-of-range integer or a float whose
+   exponent has no digits is a [Lex_error] on the literal's line, never
+   the conversion's [Failure]. *)
+let int_lit line s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> error line "integer literal %s out of range" s
+
+let float_lit line s =
+  match float_of_string_opt s with
+  | Some f -> f
+  | None -> error line "malformed float literal %s" s
 
 let keyword_table =
   [
@@ -87,7 +101,7 @@ let lex_number st =
       advance st
     done;
     if st.pos = hstart then error st.line "empty hex literal";
-    Token.INT_LIT (int_of_string ("0x" ^ String.sub st.src hstart (st.pos - hstart)))
+    Token.INT_LIT (int_lit st.line ("0x" ^ String.sub st.src hstart (st.pos - hstart)))
   end
   else begin
     while (match peek st with Some c -> is_digit c | None -> false) do
@@ -117,9 +131,9 @@ let lex_number st =
            advance st
          done
        | _ -> ());
-      Token.FLOAT_LIT (float_of_string (String.sub st.src start (st.pos - start)))
+      Token.FLOAT_LIT (float_lit st.line (String.sub st.src start (st.pos - start)))
     end
-    else Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
+    else Token.INT_LIT (int_lit st.line (String.sub st.src start (st.pos - start)))
   end
 
 let lex_ident st =

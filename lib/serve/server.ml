@@ -87,73 +87,97 @@ let create ?jobs ?(batch = 256) ?(pool_capacity = 1) ?(policy = Pool.Grow)
 
 (* --- per-worker state ----------------------------------------------------- *)
 
-(* Machine pools, one per (server, program, engine) triple. Domain-local:
-   each worker grows its own and they never contend. *)
-let pools_key : (string, Pool.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* Per-program worker state: the program's pristine start image (built
+   for compile-and-run requests; building it runs the loader, which is
+   cheap but not free) and its machine pools, one per (server, engine)
+   pair. Domain-local: each worker grows its own and they never contend.
 
-(* Compilation itself goes through the process-wide
+   Compilation itself goes through the process-wide
    [Core.compile_cached] — every distinct (backend, source) compiles
-   once per process, not once per worker domain, and repeat requests
-   get the *same* [Core.compiled] value, so the block engine binds the
-   shared superblock set instead of recompiling. What stays per-domain
-   is the pristine start image, memoised by program identity
-   ([Program.uid] — exact even where two backend configurations render
-   the same [Core.backend_name]): building it runs the loader, which is
-   cheap but not free, and keying the memo on the uid the shared cache
-   hands out keeps it consistent with the machine pools below. *)
-let image_cache_key : (int, bytes) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+   once per process, and repeat requests get the *same* [Core.compiled]
+   value, so the block engine binds the shared superblock set instead
+   of recompiling. This table is keyed on that value's [Program.t]
+   through an ephemeron, as [Machine.Cpu]'s superblock cache is: an
+   entry lives exactly as long as something else holds its program — a
+   warm set, or a compile-cache slot. When the compile cache drops a
+   program, its image and pooled machines (megabytes each) die with it
+   at the next major collection, so a server fed unbounded distinct
+   sources retains at most the compile cache's capacity of them. The
+   pools reference the program themselves; an ephemeron's data does
+   not keep its own key alive, so that cycle is still collectable. *)
+module Prog_tbl = Ephemeron.K1.Make (struct
+  type t = Machine.Program.t
 
-let worker_pool t ~key ~engine compiled =
-  let pools = Domain.DLS.get pools_key in
-  let k = Printf.sprintf "%d\x00%s\x00%s" t.sv_id key (Core.engine_name engine) in
-  match Hashtbl.find_opt pools k with
+  let equal = ( == )
+  let hash (p : Machine.Program.t) = p.Machine.Program.uid
+end)
+
+type per_program = {
+  mutable image : bytes option;
+  mutable pools : ((int * Machine.Cpu.engine) * Pool.t) list;
+}
+
+let programs_key : per_program Prog_tbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Prog_tbl.create 16)
+
+let per_program (compiled : Core.compiled) =
+  let tbl = Domain.DLS.get programs_key in
+  let program = compiled.Compilers.Codegen.program in
+  match Prog_tbl.find_opt tbl program with
+  | Some pp -> pp
+  | None ->
+    let pp = { image = None; pools = [] } in
+    Prog_tbl.add tbl program pp;
+    pp
+
+let worker_pool t ~engine compiled =
+  let pp = per_program compiled in
+  let k = (t.sv_id, engine) in
+  match List.assoc_opt k pp.pools with
   | Some p -> p
   | None ->
     let p =
       Pool.create ~capacity:t.pool_capacity ~policy:t.policy ~engine compiled
     in
-    Hashtbl.add pools k p;
+    pp.pools <- (k, p) :: pp.pools;
     p
 
 (* --- one request ---------------------------------------------------------- *)
 
-(* Resolve a request to (pool key, program, image to restore). *)
+(* Resolve a request to (program, image to restore). *)
 let resolve t (rq : Protocol.request) =
   match rq.Protocol.rq_spec with
   | Protocol.Replay { snapshot } -> (
     match List.find_opt (fun w -> w.w_name = snapshot) t.warms with
-    | Some w -> Ok ("replay:" ^ snapshot, w.w_compiled, w.w_image)
+    | Some w -> Ok (w.w_compiled, w.w_image)
     | None -> Error (Printf.sprintf "unknown snapshot %S" snapshot))
   | Protocol.Compile_and_run { backend; source } -> (
     match Core.compile_cached backend source with
     | exception e -> Error ("compile error: " ^ Printexc.to_string e)
     | compiled ->
-      let uid = compiled.Compilers.Codegen.program.Machine.Program.uid in
-      let images = Domain.DLS.get image_cache_key in
+      let pp = per_program compiled in
       let image =
-        match Hashtbl.find_opt images uid with
+        match pp.image with
         | Some image -> image
         | None ->
           let image = Buffer.to_bytes (Core.save (Core.start compiled)) in
-          Hashtbl.add images uid image;
+          pp.image <- Some image;
           image
       in
-      Ok (Printf.sprintf "src:%d" uid, compiled, image))
+      Ok (compiled, image))
 
 let run_request t (rq : Protocol.request) =
   let t0 = Unix.gettimeofday () in
   let latency_us () = (Unix.gettimeofday () -. t0) *. 1e6 in
   match resolve t rq with
   | Error msg -> Protocol.failure ~id:rq.Protocol.rq_id ~latency_us:(latency_us ()) msg
-  | Ok (key, compiled, image) -> (
+  | Ok (compiled, image) -> (
     let engine =
       match rq.Protocol.rq_engine with Some e -> e | None -> t.engine
     in
     match
       if t.pooled then
-        let pool = worker_pool t ~key ~engine compiled in
+        let pool = worker_pool t ~engine compiled in
         Pool.with_machine pool (fun s ->
             Core.finish (Core.restore_into s image))
       else Core.finish (Core.restore ~engine compiled image)

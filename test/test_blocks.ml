@@ -553,6 +553,157 @@ let test_block_counters () =
   Alcotest.(check bool) "covered insns counted" true
     (Cpu.block_insns_compiled () > insns0)
 
+(* --- lazy compilation ------------------------------------------------------
+
+   A program's closures are compiled per block on its first dispatch,
+   into slots shared by every machine running that [Program.t]. Each
+   [run_one] links a fresh program, so the process-wide counters' deltas
+   below count exactly the blocks one run compiled. *)
+
+let compiled_during f =
+  let b0 = Cpu.blocks_built () and i0 = Cpu.block_insns_compiled () in
+  let r = f () in
+  (r, Cpu.blocks_built () - b0, Cpu.block_insns_compiled () - i0)
+
+let test_lazy_uncalled_function () =
+  (* [dead] is never called: none of its blocks may compile. *)
+  let insns =
+    Insn.[
+      Mov (Long, Reg Registers.EAX, Imm 1);
+      Jmp "next";
+      Label "next";
+      Alu (Add, Reg Registers.EAX, Imm 2);
+      Halt;
+      Label "dead";
+      Mov (Long, Reg Registers.EBX, Imm 3);
+      Cmp (Reg Registers.EBX, Imm 0);
+      Jcc (Eq, "dead");
+      Alu (Add, Reg Registers.EBX, Imm 4);
+      Ret;
+    ]
+  in
+  let p = Program.link ~entry:"main" (Insn.Label "main" :: insns) in
+  let dead = 6 (* index of [Label "dead"], after the prepended entry *) in
+  Alcotest.(check bool) "dead starts a block (test premise)" true
+    (p.Program.block_at.(dead) >= 0);
+  let live_blocks =
+    Array.fold_left (fun n s -> if s < dead then n + 1 else n) 0
+      p.Program.block_starts
+  in
+  let cpu, blocks, insns_c =
+    compiled_during (fun () -> check ~chain:false "lazy/uncalled" insns)
+  in
+  Alcotest.(check int) "EAX" 3 (Registers.get (Cpu.regs cpu) Registers.EAX);
+  Alcotest.(check int) "only main's blocks compiled" live_blocks blocks;
+  Alcotest.(check int) "only main's instructions compiled" dead insns_c
+
+let test_lazy_fault_on_first_dispatch () =
+  (* The fall-through block after a never-taken Jcc starts with a store
+     to an unmapped page: it compiles on its first dispatch and faults
+     on its first closure, so nothing of it may be committed. *)
+  let insns =
+    Insn.[
+      Mov (Long, Reg Registers.EAX, Imm 0);
+      Cmp (Reg Registers.EAX, Imm 1);
+      Jcc (Eq, "skip");
+      Mov (Long, Mem (Insn.mem ~disp:0x20000 ()), Imm 1);
+      Alu (Add, Reg Registers.EAX, Imm 5);
+      Label "skip";
+      Halt;
+    ]
+  in
+  let cpu, blocks, _ =
+    compiled_during (fun () -> check ~chain:false "lazy/first-fault" insns)
+  in
+  (match Cpu.status cpu with
+   | Cpu.Faulted _ -> ()
+   | _ -> Alcotest.fail "expected a fault");
+  Alcotest.(check int) "EIP on the faulting store" 4 (Cpu.eip cpu);
+  Alcotest.(check int) "entry block retired, nothing after" 4
+    (Cpu.insns_executed cpu);
+  Alcotest.(check int) "the faulting block was compiled" 2 blocks
+
+let test_lazy_ret_into_uncompiled_block () =
+  (* A Ret lands mid-way through a block no one has dispatched yet: the
+     engine steps from there, and when control later reaches the block's
+     start the block compiles and runs whole. Indices count from the
+     prepended entry label (0). *)
+  let insns =
+    Insn.[
+      Push (Imm 6) (* 1 *);
+      Ret (* 2: jumps to 6 *);
+      Label "blk" (* 3 *);
+      Alu (Add, Reg Registers.EAX, Imm 100) (* 4 *);
+      Alu (Add, Reg Registers.EAX, Imm 200) (* 5 *);
+      Alu (Add, Reg Registers.EAX, Imm 1) (* 6: entry point *);
+      Cmp (Reg Registers.EBX, Imm 0) (* 7 *);
+      Jcc (Ne, "fin") (* 8 *);
+      Mov (Long, Reg Registers.EBX, Imm 1) (* 9 *);
+      Jmp "blk" (* 10 *);
+      Label "fin" (* 11 *);
+      Halt (* 12 *);
+    ]
+  in
+  let p = Program.link ~entry:"main" (Insn.Label "main" :: insns) in
+  Alcotest.(check int) "index 6 is mid-block (test premise)"
+    Program.no_block p.Program.block_at.(6);
+  let cpu, blocks, _ =
+    compiled_during (fun () -> check ~chain:false "lazy/ret-mid" insns)
+  in
+  Alcotest.(check int) "suffix once, then the whole block" 302
+    (Registers.get (Cpu.regs cpu) Registers.EAX);
+  Alcotest.(check int) "every block compiled once" 4 blocks;
+  Alcotest.(check int) "the program has four blocks (test premise)" 4
+    (Array.length p.Program.block_starts)
+
+let test_lazy_fuel_before_any_block () =
+  (* The entry block is longer than the whole fuel budget: the engine
+     steps per instruction until fuel runs out and compiles nothing. *)
+  let insns =
+    Insn.[
+      Mov (Long, Reg Registers.EAX, Imm 1);
+      Alu (Add, Reg Registers.EAX, Imm 2);
+      Alu (Add, Reg Registers.EAX, Imm 3);
+      Alu (Add, Reg Registers.EAX, Imm 4);
+      Halt;
+    ]
+  in
+  let cpu, blocks, _ =
+    compiled_during (fun () -> check ~fuel:3 "lazy/fuel" insns)
+  in
+  Alcotest.(check int) "fuel spent" 3 (Cpu.insns_executed cpu);
+  Alcotest.(check int) "no block compiled" 0 blocks
+
+let test_lazy_two_domains_share () =
+  (* Two domains run one [compile_cached] program at once, filling its
+     shared slots concurrently: both must match a predecode run, and
+     between them they compile each block at most once. *)
+  let src =
+    "int a[40]; int f(int n) { int i; int s = 0; \
+     for (i = 0; i < n; i++) { a[i] = i * 3; s = s + a[i]; } return s; } \
+     int main() { int k; int t = 0; for (k = 0; k < 30; k++) t = t + f(40); \
+     print_int(t + 9191); return 0; }"
+  in
+  let compiled = Core.compile_cached Core.cash src in
+  let nblocks =
+    Array.length compiled.Compilers.Codegen.program.Program.block_starts
+  in
+  let expect = Core.run ~engine:Cpu.Predecoded compiled in
+  let b0 = Cpu.blocks_built () in
+  let go () = Core.run ~engine:Cpu.Block compiled in
+  let d1 = Domain.spawn go and d2 = Domain.spawn go in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let built = Cpu.blocks_built () - b0 in
+  List.iter
+    (fun (name, r) ->
+      Alcotest.(check string) (name ^ " output") expect.Core.output
+        r.Core.output;
+      Alcotest.(check int) (name ^ " cycles") expect.Core.cycles r.Core.cycles)
+    [ ("domain 1", r1); ("domain 2", r2) ];
+  Alcotest.(check bool) "some blocks compiled" true (built > 0);
+  if built > nblocks then
+    Alcotest.failf "%d blocks compiled for a %d-block program" built nblocks
+
 let suite =
   [
     Alcotest.test_case "partition invariants" `Quick test_partition_invariants;
@@ -582,4 +733,14 @@ let suite =
       test_tlb_conflict_eviction;
     Alcotest.test_case "tlb generation counter" `Quick test_tlb_gen_counter;
     Alcotest.test_case "block compile counters" `Quick test_block_counters;
+    Alcotest.test_case "lazy: uncalled function compiles nothing" `Quick
+      test_lazy_uncalled_function;
+    Alcotest.test_case "lazy: fault on a block's first dispatch" `Quick
+      test_lazy_fault_on_first_dispatch;
+    Alcotest.test_case "lazy: ret into an uncompiled block" `Quick
+      test_lazy_ret_into_uncompiled_block;
+    Alcotest.test_case "lazy: fuel out before any block" `Quick
+      test_lazy_fuel_before_any_block;
+    Alcotest.test_case "lazy: two domains share one program" `Quick
+      test_lazy_two_domains_share;
   ]

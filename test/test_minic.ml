@@ -538,7 +538,9 @@ let test_oracle_tricky () =
       "@"; "\n\n  @"; "a\r\n@"; "$"; "`";
       "\"unterminated"; "\"unterminated\n more";
       "'"; "'a"; {|'\q'|};
-      "/* runs off the end" ]
+      "/* runs off the end";
+      "1e"; "1.5e+"; "x = 2E-;"; "99999999999999999999999";
+      "0x1FFFFFFFFFFFFFFFF" ]
 
 let test_lex_error_lines () =
   let line_of name f src =
@@ -554,6 +556,33 @@ let test_lex_error_lines () =
       Alcotest.(check int) ("ref: " ^ String.escaped src) expect
         (line_of "ref" Lexref.tokenize src))
     [ ("@", 1); ("\n@", 2); ("a\nb\n  @", 3); ("//c\n/* x\n\n*/\n@", 5) ]
+
+(* Numeric literals the conversions cannot represent are lex errors on
+   their own line, in both lexers and through [Core.compile] — never the
+   [Failure] of [int_of_string] / [float_of_string]. *)
+let test_lex_bad_literals () =
+  List.iter
+    (fun (src, expect) ->
+      (match Lexer.tokenize src with
+       | exception Lexer.Lex_error (_, l) ->
+         Alcotest.(check int) ("new: " ^ String.escaped src) expect l
+       | _ -> Alcotest.failf "new: expected a lex error for %S" src);
+      match Lexref.tokenize src with
+      | exception Lexref.Lex_error (_, l) ->
+        Alcotest.(check int) ("ref: " ^ String.escaped src) expect l
+      | _ -> Alcotest.failf "ref: expected a lex error for %S" src)
+    [ ("float x = 1e;", 1); ("1.5e+", 1); ("\n\n99999999999999999999999", 3);
+      ("int a;\nint b = 0x1FFFFFFFFFFFFFFFF;", 2) ];
+  List.iter
+    (fun src ->
+      match Core.compile Core.gcc src with
+      | exception Lexer.Lex_error _ -> ()
+      | exception e ->
+        Alcotest.failf "%S escaped as %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "%S compiled" src)
+    [ "int main() { double x = 1e; return 0; }";
+      "int main() { double x = 1.5e+; return 0; }";
+      "int main() { return 99999999999999999999999; }" ]
 
 (* The flat-array scan: counts, lines, and the pointer-length halves
    must recover the reference stream and the original spellings. *)
@@ -605,6 +634,8 @@ let suite =
       Alcotest.test_case "lexer oracle: tricky inputs" `Quick
         test_oracle_tricky;
       Alcotest.test_case "lex error lines" `Quick test_lex_error_lines;
+      Alcotest.test_case "lex bad numeric literals" `Quick
+        test_lex_bad_literals;
       Alcotest.test_case "scan positions" `Quick test_scan_positions;
       Alcotest.test_case "parse error lines" `Quick test_parse_error_lines;
       Alcotest.test_case "lex hex escape" `Quick test_lex_hex_escape;

@@ -333,6 +333,38 @@ let test_summary_compile_cache () =
   Alcotest.(check bool) "grep-pinned prefix unchanged" true
     (has "\"summary\":true,\"requests\":")
 
+(* A server fed many distinct compile-and-run programs keeps machine
+   pools and start images only for programs the compile cache still
+   holds: once [Core.compile_cached] drops a program, a full major
+   collection frees it together with its pooled machine and image.
+   Observed through finalisers on the compiled programs the server ran
+   (a cache hit hands back the very value the server used); a pool
+   holds its program, so a pool that stayed reachable would keep its
+   program from being finalised. *)
+let test_server_releases_dropped_programs () =
+  let cap = Core.compile_cache_capacity in
+  let n = (2 * cap) + 4 in
+  let src k =
+    Printf.sprintf "int main() { print_int(%d); return 0; }" (7_300_000 + k)
+  in
+  let server = Serve.Server.create ~jobs:1 () in
+  let finalised = ref 0 in
+  for k = 1 to n do
+    let line =
+      Printf.sprintf {|{"op": "compile-and-run", "backend": "gcc", "source": %S}|}
+        (src k)
+    in
+    let _, s = Serve.Server.run_lines server [ line ] in
+    Alcotest.(check int) "no errors" 0 s.Serve.Server.errors;
+    Gc.finalise (fun _ -> incr finalised) (Core.compile_cached Core.gcc (src k))
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  let live = n - !finalised in
+  if live > cap then
+    Alcotest.failf "%d of %d programs still reachable (compile cache holds %d)"
+      live n cap
+
 (* --- protocol ------------------------------------------------------------- *)
 
 let test_protocol_round_trip () =
@@ -394,6 +426,8 @@ let suite =
       test_summary_compile_cache;
     Alcotest.test_case "server: streams channels with summary" `Quick
       test_server_streams_channels;
+    Alcotest.test_case "server: dropped programs free their pools" `Quick
+      test_server_releases_dropped_programs;
     Alcotest.test_case "protocol: round-trip and rejection" `Quick
       test_protocol_round_trip;
   ]
